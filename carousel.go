@@ -118,31 +118,40 @@ func NewLRC(k, l, g int) (*LRC, error) {
 	return lrc.New(k, l, g)
 }
 
-// Streaming re-exports: encode/decode arbitrarily long byte streams stripe
-// by stripe (the shape of the paper's HDFS integration).
+// Streaming re-exports: write and read arbitrarily long byte streams
+// stripe by stripe (the shape of the paper's HDFS integration). The
+// stream types only cut and reassemble stripes; the backend behind a
+// StripeSink/StripeSource encodes and decodes them — a BlockStore's
+// Sink/Source over TCP, or a MemSink in memory.
 type (
-	// StreamWriter encodes an io stream into stripes (io.WriteCloser).
+	// StreamWriter cuts an io stream into stripes (io.WriteCloser).
 	StreamWriter = stream.Writer
-	// StreamReader reassembles a stream from stored stripes (io.Reader),
-	// tolerating up to n-k missing blocks per stripe.
-	StreamReader = stream.Reader
-	// BlockSink receives encoded blocks.
-	BlockSink = stream.BlockSink
-	// BlockSource serves stored blocks (nil = missing).
-	BlockSource = stream.BlockSource
-	// MemSink is an in-memory BlockSink/BlockSource.
+	// StreamReader reassembles a stream from stored stripes with stripes
+	// prefetched in parallel (io.ReadCloser). Close it when done.
+	StreamReader = stream.PrefetchReader
+	// StripeSink stores the stripes of a stream.
+	StripeSink = stream.StripeSink
+	// StripeSource serves the stripes of a stream.
+	StripeSource = stream.StripeSource
+	// MemSink is the in-memory StripeSink/StripeSource: it encodes each
+	// stripe into n blocks and decodes around up to n-k dropped blocks.
 	MemSink = stream.MemSink
 )
 
-// NewStreamWriter returns a streaming encoder over the sink.
-func NewStreamWriter(code *Code, blockSize int, sink BlockSink) (*StreamWriter, error) {
+// NewMemSink returns an empty in-memory stripe backend.
+func NewMemSink(code *Code, blockSize int) *MemSink {
+	return stream.NewMemSink(code, blockSize)
+}
+
+// NewStreamWriter returns a streaming writer over the sink.
+func NewStreamWriter(code *Code, blockSize int, sink StripeSink) (*StreamWriter, error) {
 	return stream.NewWriter(code, blockSize, sink)
 }
 
-// NewStreamReader returns a streaming decoder for a stream of the given
-// original size.
-func NewStreamReader(code *Code, blockSize int, size int64, src BlockSource) (*StreamReader, error) {
-	return stream.NewReader(code, blockSize, size, src)
+// NewStreamReader returns a streaming reader for a stream of the given
+// original size, keeping the default number of stripes in flight.
+func NewStreamReader(code *Code, blockSize int, size int64, src StripeSource) (*StreamReader, error) {
+	return stream.NewPrefetchReader(code, blockSize, size, src, stream.DefaultPrefetchDepth)
 }
 
 // Split divides data into k shards padded to a multiple of align, ready

@@ -171,7 +171,7 @@ func TestFacadeStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	blockSize := 8 * code.BlockAlign()
-	sink := &carousel.MemSink{}
+	sink := carousel.NewMemSink(code, blockSize)
 	w, err := carousel.NewStreamWriter(code, blockSize, sink)
 	if err != nil {
 		t.Fatal(err)
@@ -188,6 +188,7 @@ func TestFacadeStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	got, err := io.ReadAll(r)
 	if err != nil {
 		t.Fatal(err)

@@ -239,8 +239,7 @@ type swarmSection struct {
 // swarmCalibrate measures the cache-off store's closed-loop read capacity
 // with a small worker pool — the baseline the open-loop rate overloads.
 func swarmCalibrate(code *carousel.Code, addrs []string, blockSize int, names []string, objSize int, seed int64) (float64, error) {
-	st, err := blockserver.NewStore(code, addrs, blockSize,
-		blockserver.WithHedgeDelay(swarmHedge), blockserver.WithCacheDisabled())
+	st, err := blockserver.NewStore(code, addrs, blockSize, blockserver.WithHedgeDelay(swarmHedge))
 	if err != nil {
 		return 0, err
 	}
@@ -276,13 +275,8 @@ func swarmCalibrate(code *carousel.Code, addrs []string, blockSize int, names []
 // its measured row.
 func swarmPass(code *carousel.Code, addrs []string, blockSize int, names []string, objSize int,
 	v swarmVariant, rate float64, dur time.Duration, maxClients int, seed int64) (swarmEntry, error) {
-	opts := []blockserver.StoreOption{blockserver.WithHedgeDelay(swarmHedge)}
-	if v.cacheMiB > 0 {
-		opts = append(opts, blockserver.WithStripeCache(int64(v.cacheMiB)<<20))
-	} else {
-		opts = append(opts, blockserver.WithCacheDisabled())
-	}
-	st, err := blockserver.NewStore(code, addrs, blockSize, opts...)
+	st, err := blockserver.NewStore(code, addrs, blockSize,
+		blockserver.WithHedgeDelay(swarmHedge), blockserver.WithStripeCache(int64(v.cacheMiB)<<20))
 	if err != nil {
 		return swarmEntry{}, err
 	}

@@ -1,7 +1,8 @@
-// Streaming encodes a multi-stripe stream through the io.Writer interface,
-// loses the maximum tolerable number of blocks in every stripe, and reads
-// the stream back through io.Reader — the shape of storing a large file as
-// a sequence of Carousel stripes.
+// Streaming writes a multi-stripe stream through the io.Writer interface
+// into an in-memory backend that encodes each stripe, loses the maximum
+// tolerable number of blocks in every stripe, and reads the stream back
+// through io.Reader — the shape of storing a large file as a sequence of
+// Carousel stripes. A BlockStore's Sink and Source slot in the same way.
 package main
 
 import (
@@ -26,7 +27,7 @@ func main() {
 	data := make([]byte, 2*stripeData+stripeData/2)
 	rand.New(rand.NewSource(3)).Read(data)
 
-	sink := &carousel.MemSink{}
+	sink := carousel.NewMemSink(code, blockSize)
 	w, err := carousel.NewStreamWriter(code, blockSize, sink)
 	if err != nil {
 		log.Fatal(err)
@@ -58,6 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer r.Close()
 	got, err := io.ReadAll(r)
 	if err != nil {
 		log.Fatal(err)

@@ -77,20 +77,20 @@ func TestStoreCacheWarmReadZeroDials(t *testing.T) {
 	}
 }
 
-// TestStoreCacheDisabledMatchesUncached: the explicit-off option keeps the
+// TestStoreCacheDisabledMatchesUncached: a zero cache budget keeps the
 // read path byte-identical to the pre-cache store, stats included.
 func TestStoreCacheDisabledMatchesUncached(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, 12)
 	blockSize := code.BlockAlign() * 4
 	store, err := NewStore(code, addrs, blockSize,
-		WithClientOptions(fastOpts()), WithCacheDisabled())
+		WithClientOptions(fastOpts()), WithStripeCache(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(store.Close)
 	if store.Cache() != nil {
-		t.Fatal("WithCacheDisabled left a cache configured")
+		t.Fatal("WithStripeCache(0) left a cache configured")
 	}
 	ctx := context.Background()
 	size := 2 * 6 * blockSize
@@ -343,8 +343,8 @@ func TestStoreCacheInvalidationRace(t *testing.T) {
 	}
 }
 
-// TestStreamPrefetchServesFromCache: the PrefetchReader's StripeSource
-// fast path serves warm stripes from the cache with no fresh dials.
+// TestStreamPrefetchServesFromCache: a PrefetchReader over Store.Source
+// reads through the stripe cache, so warm stripes cost no fresh dials.
 func TestStreamPrefetchServesFromCache(t *testing.T) {
 	code := mustCode(t)
 	_, addrs := startServers(t, code, 12)

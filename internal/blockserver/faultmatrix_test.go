@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
 	"runtime"
@@ -14,6 +15,7 @@ import (
 	"carousel/internal/carousel"
 	"carousel/internal/faultnet"
 	"carousel/internal/retry"
+	"carousel/internal/stream"
 )
 
 // fastOpts are client options scaled for localhost fault tests: short
@@ -66,12 +68,27 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Errorf("goroutine leak: %d goroutines > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
 }
 
-// TestFaultMatrixHedgedRead is the acceptance matrix for the hedged read
-// path: with carousel(14,10,10,12) over real TCP servers, killing one
-// server mid-read and delaying another beyond the hedge deadline must
-// still return byte-identical content via the fastest-k fallback, within
-// the overall deadline and without leaking goroutines.
-func TestFaultMatrixHedgedRead(t *testing.T) {
+// hedgedReadFaults is the fault matrix for the hedged stripe read path,
+// over carousel(14,10,10,12): one server killed and another delayed,
+// blackholed or partitioned, with the path the stats must report.
+var hedgedReadFaults = []struct {
+	name       string
+	kill, slow int
+	slowPolicy faultnet.Policy
+	wantPath   string
+}{
+	{"kill-data+delay-data", 3, 7, faultnet.Policy{DelayWrite: 250 * time.Millisecond}, "fallback"},
+	{"kill-data+blackhole-data", 0, 11, faultnet.Policy{Blackhole: true}, "fallback"},
+	{"kill-parity+delay-data", 12, 5, faultnet.Policy{DelayWrite: 250 * time.Millisecond}, "fallback"},
+	{"kill-parity+delay-parity", 13, 12, faultnet.Policy{DelayWrite: 250 * time.Millisecond}, "parallel"},
+	{"kill-data+partition-data", 9, 2, faultnet.Policy{RejectConn: true}, "fallback"},
+}
+
+// runHedgedReadFaults runs every hedgedReadFaults case through read: with
+// one server dead and another slow, the read must return byte-identical
+// content via the fastest-k fallback, within the overall deadline, along
+// the expected path and without leaking goroutines.
+func runHedgedReadFaults(t *testing.T, read func(ctx context.Context, store *Store, code *carousel.Code, blockSize, size int) ([]byte, *ReadStats, error)) {
 	code, err := carousel.New(14, 10, 10, 12)
 	if err != nil {
 		t.Fatal(err)
@@ -81,19 +98,7 @@ func TestFaultMatrixHedgedRead(t *testing.T) {
 	data := make([]byte, size)
 	rand.New(rand.NewSource(11)).Read(data)
 
-	cases := []struct {
-		name       string
-		kill, slow int
-		slowPolicy faultnet.Policy
-		wantPath   string
-	}{
-		{"kill-data+delay-data", 3, 7, faultnet.Policy{DelayWrite: 250 * time.Millisecond}, "fallback"},
-		{"kill-data+blackhole-data", 0, 11, faultnet.Policy{Blackhole: true}, "fallback"},
-		{"kill-parity+delay-data", 12, 5, faultnet.Policy{DelayWrite: 250 * time.Millisecond}, "fallback"},
-		{"kill-parity+delay-parity", 13, 12, faultnet.Policy{DelayWrite: 250 * time.Millisecond}, "parallel"},
-		{"kill-data+partition-data", 9, 2, faultnet.Policy{RejectConn: true}, "fallback"},
-	}
-	for _, tc := range cases {
+	for _, tc := range hedgedReadFaults {
 		t.Run(tc.name, func(t *testing.T) {
 			servers, addrs, injectors := startFaultServers(t, code, 14)
 			store, err := NewStore(code, addrs, blockSize,
@@ -115,7 +120,7 @@ func TestFaultMatrixHedgedRead(t *testing.T) {
 			rctx, cancel := context.WithTimeout(ctx, 8*time.Second)
 			defer cancel()
 			start := time.Now()
-			got, stats, err := store.ReadFile(rctx, "f", size)
+			got, stats, err := read(rctx, store, code, blockSize, size)
 			if err != nil {
 				t.Fatalf("read with server %d dead and %d slow: %v (after %v)", tc.kill, tc.slow, err, time.Since(start))
 			}
@@ -137,6 +142,29 @@ func TestFaultMatrixHedgedRead(t *testing.T) {
 			waitGoroutines(t, base)
 		})
 	}
+}
+
+// TestFaultMatrixHedgedRead is the acceptance matrix for ReadFile.
+func TestFaultMatrixHedgedRead(t *testing.T) {
+	runHedgedReadFaults(t, func(ctx context.Context, store *Store, _ *carousel.Code, _, size int) ([]byte, *ReadStats, error) {
+		return store.ReadFile(ctx, "f", size)
+	})
+}
+
+// TestFaultMatrixStreamRead runs the same matrix through a PrefetchReader
+// over Store.Source: the streamed read shares ReadFile's stripe path, so
+// it hedges and falls back to any-k exactly the same way.
+func TestFaultMatrixStreamRead(t *testing.T) {
+	runHedgedReadFaults(t, func(ctx context.Context, store *Store, code *carousel.Code, blockSize, size int) ([]byte, *ReadStats, error) {
+		src := store.Source(ctx, "f")
+		r, err := stream.NewPrefetchReader(code, blockSize, int64(size), src, stream.DefaultPrefetchDepth)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer r.Close()
+		got, err := io.ReadAll(r)
+		return got, src.(*storeSource).stats, err
+	})
 }
 
 // TestFaultMatrixRepair exercises kill/slow × repair: a repair must

@@ -2,7 +2,6 @@ package blockserver
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -179,16 +178,16 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 		report.HelperChunks[s.addrs[idx]]++
 		mu.Unlock()
 	}
-	outcomes := s.repairMany(ctx, jobs, cfg.concurrency, func(j repairJob) repairOpts {
+	traffic, errs := s.repairMany(ctx, jobs, cfg.concurrency, func(j repairJob) repairOpts {
 		rot := j.ref.Stripe
 		if cfg.static {
 			rot = 0
 		}
 		return repairOpts{rot: rot, throttle: tb, onHelper: onHelper}
 	})
-	for _, o := range outcomes {
-		report.TrafficBytes += int64(o.traffic)
-		if o.err == nil {
+	for i, err := range errs {
+		report.TrafficBytes += int64(traffic[i])
+		if err == nil {
 			report.BlocksRepaired++
 			report.BytesRecovered += int64(s.blockSize)
 		}
@@ -197,9 +196,9 @@ func (s *Store) RecoverServer(ctx context.Context, failed int, files []FileSpec,
 	mRecoverBytes.Add(report.BytesRecovered)
 	mRecoverTraffic.Add(report.TrafficBytes)
 	sp.SetAttr("blocks_repaired", report.BlocksRepaired).SetAttr("traffic_bytes", report.TrafficBytes)
-	if j, err := firstRepairError(jobs, outcomes); err != nil {
+	if i, err := firstFailure(errs); err != nil {
 		sp.SetAttr("error", err.Error())
-		return report, fmt.Errorf("blockserver: recover %s stripe %d: %w", j.file, j.ref.Stripe, err)
+		return report, fmt.Errorf("blockserver: recover %s stripe %d: %w", jobs[i].file, jobs[i].ref.Stripe, err)
 	}
 	return report, nil
 }
@@ -210,79 +209,20 @@ type repairJob struct {
 	ref  BlockRef
 }
 
-// repairOutcome is one job's result slot.
-type repairOutcome struct {
-	traffic int
-	err     error
-}
-
-// repairMany runs block repairs through a depth-bounded pipeline: up to
-// conc repairs are in flight, so one stripe's chunk fetches overlap its
+// repairMany runs block repairs through the store's bounded pipeline: up
+// to conc repairs are in flight, so one stripe's chunk fetches overlap its
 // neighbors' decode and writeback. The first failure cancels the launch
-// of later jobs (in-flight repairs drain); outcomes align with jobs, and
-// jobs never launched report the cancellation.
-func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, opt func(repairJob) repairOpts) []repairOutcome {
-	if conc < 1 {
-		conc = 1
-	}
-	out := make([]repairOutcome, len(jobs))
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	sem := make(chan struct{}, conc)
-	var wg sync.WaitGroup
-	launched := 0
-	for i := 0; i < len(jobs) && rctx.Err() == nil; i++ {
-		select {
-		case sem <- struct{}{}:
-		case <-rctx.Done():
-		}
-		if rctx.Err() != nil {
-			break
-		}
-		launched++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mRecoverInflight.Add(1)
-			defer mRecoverInflight.Add(-1)
-			j := jobs[i]
-			traffic, err := s.repair(rctx, j.file, j.ref.Stripe, j.ref.Block, opt(j))
-			out[i] = repairOutcome{traffic: traffic, err: err}
-			if err != nil {
-				rcancel() // later repairs are pointless once one failed
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := launched; i < len(jobs); i++ {
-		err := classify(ctx.Err())
-		if err == nil {
-			err = context.Canceled
-		}
-		out[i] = repairOutcome{err: err}
-	}
-	return out
-}
-
-// firstRepairError picks the root-cause failure of a repairMany pass: the
-// first outcome, in job order, that is not a knock-on cancellation —
-// falling back to the first error of any kind.
-func firstRepairError(jobs []repairJob, outcomes []repairOutcome) (repairJob, error) {
-	var firstJob repairJob
-	var firstErr error
-	for i, o := range outcomes {
-		if o.err == nil {
-			continue
-		}
-		if firstErr == nil {
-			firstJob, firstErr = jobs[i], o.err
-		}
-		if !errors.Is(o.err, context.Canceled) {
-			return jobs[i], o.err
-		}
-	}
-	return firstJob, firstErr
+// of later jobs (in-flight repairs drain). traffic and errs align with
+// jobs; jobs never launched report the cancellation.
+func (s *Store) repairMany(ctx context.Context, jobs []repairJob, conc int, opt func(repairJob) repairOpts) (traffic []int, errs []error) {
+	traffic = make([]int, len(jobs))
+	errs = pipelined(ctx, len(jobs), conc, mRecoverInflight, func(ctx context.Context, i int) error {
+		j := jobs[i]
+		var err error
+		traffic[i], err = s.repair(ctx, j.file, j.ref.Stripe, j.ref.Block, opt(j))
+		return err
+	})
+	return traffic, errs
 }
 
 // tokenBucket paces recovery traffic to a bytes/sec budget. Charges are

@@ -365,7 +365,7 @@ func (s *Server) load(ctx context.Context, name []byte) (storedBlock, byte) {
 	if !ok {
 		return storedBlock{}, statusNotFound
 	}
-	vsp := spanChild(ctx, "verify")
+	_, vsp := stageSpan(ctx, "verify")
 	intact := Checksum(b.data) == b.crc
 	vsp.SetAttr("bytes", len(b.data)).SetAttr("intact", intact)
 	vsp.End()
@@ -376,15 +376,17 @@ func (s *Server) load(ctx context.Context, name []byte) (storedBlock, byte) {
 	return b, statusOK
 }
 
-// spanChild starts a child span when ctx already carries one (a traced
-// request) and returns nil otherwise, so untraced requests pay nothing —
-// nil spans are inert.
-func spanChild(ctx context.Context, name string) *obs.Span {
+// stageSpan starts a child span when ctx already carries one (a traced
+// request) and returns ctx and a nil span otherwise, so untraced requests
+// pay nothing — nil spans are inert. Both ends of the wire follow this
+// rule: the server's verify/decode stages, and the store's read stages
+// (cache, stripe, locate, fetch, decode), which ReadFile's root span
+// traces and a streamed read traces exactly when its caller's context is.
+func stageSpan(ctx context.Context, name string) (context.Context, *obs.Span) {
 	if obs.SpanFromContext(ctx) == nil {
-		return nil
+		return ctx, nil
 	}
-	_, sp := obs.StartSpan(ctx, name)
-	return sp
+	return obs.StartSpan(ctx, name)
 }
 
 // handle dispatches one request; protocol errors close the connection,
@@ -466,7 +468,7 @@ func (s *Server) handle(cs *connState, op byte, name []byte) error {
 		if st != statusOK {
 			return s.reply(cs, op, st, name)
 		}
-		dsp := spanChild(ctx, "decode")
+		_, dsp := stageSpan(ctx, "decode")
 		chunk, err := s.code.HelperChunk(int(helper), int(failed), b.data)
 		dsp.SetAttr("chunk_bytes", len(chunk))
 		dsp.End()

@@ -25,13 +25,13 @@ var (
 	// caller's in-flight fetch.
 	mCacheHitStripes  = obs.Default().Counter("store_cache_hit_stripes_total")
 	mCoalescedStripes = obs.Default().Counter("store_coalesced_stripes_total")
-	mCorruptSources  = obs.Default().Counter("store_corrupt_sources_total")
-	mBytesFetched    = obs.Default().Counter("store_bytes_fetched_total")
-	mReadNS          = obs.Default().Histogram("store_read_ns")
-	mRepairs         = obs.Default().Counter("store_repairs_total")
-	mRepairTraffic   = obs.Default().Counter("store_repair_traffic_bytes_total")
-	mSparePromotions = obs.Default().Counter("store_spare_promotions_total")
-	mRepairNS        = obs.Default().Histogram("store_repair_ns")
+	mCorruptSources   = obs.Default().Counter("store_corrupt_sources_total")
+	mBytesFetched     = obs.Default().Counter("store_bytes_fetched_total")
+	mReadNS           = obs.Default().Histogram("store_read_ns")
+	mRepairs          = obs.Default().Counter("store_repairs_total")
+	mRepairTraffic    = obs.Default().Counter("store_repair_traffic_bytes_total")
+	mSparePromotions  = obs.Default().Counter("store_spare_promotions_total")
+	mRepairNS         = obs.Default().Histogram("store_repair_ns")
 	// Repair stage decomposition: how long one stripe repair spends
 	// fetching helper chunks, combining them, and writing the regenerated
 	// block back — the per-stage signal the recovery engine's A/B reads.
@@ -151,13 +151,6 @@ func WithStripeCache(bytes int64) StoreOption {
 	}
 }
 
-// WithCacheDisabled turns the stripe cache off explicitly — the default,
-// named so call sites constructing A/B variants can say which side they
-// are.
-func WithCacheDisabled() StoreOption {
-	return func(s *Store) { s.cache = nil }
-}
-
 // Cache exposes the store's stripe cache (nil when disabled) for stats
 // surfacing and tests.
 func (s *Store) Cache() *stripecache.Cache { return s.cache }
@@ -250,66 +243,34 @@ func (s *Store) WriteFile(ctx context.Context, name string, data []byte) (_ int,
 		mWriteWindow.ObserveSince(t0)
 		sloWrite.ObserveSince(t0, rerr)
 	}()
-	wctx, wcancel := context.WithCancel(ctx)
-	defer wcancel()
-	sem := make(chan struct{}, s.depth)
-	errs := make([]error, stripes)
-	var wg sync.WaitGroup
-	launched := 0
-	for st := 0; st < stripes && wctx.Err() == nil; st++ {
-		select {
-		case sem <- struct{}{}:
-		case <-wctx.Done():
+	errs := pipelined(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+		stripe := data[st*stripeData : min((st+1)*stripeData, len(data))]
+		if len(stripe) < stripeData {
+			// The final, short stripe: zero-pad a pooled copy to full width.
+			// Full stripes go to the encoder straight from the caller's data.
+			padded := bufpool.Get(stripeData)
+			defer bufpool.Put(padded)
+			clear(padded[copy(padded, stripe):])
+			stripe = padded
 		}
-		if wctx.Err() != nil {
-			break
-		}
-		launched++
-		wg.Add(1)
-		go func(st int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mPipelineInflight.Add(1)
-			defer mPipelineInflight.Add(-1)
-			if err := s.writeStripe(wctx, name, st, data, stripeData); err != nil {
-				errs[st] = err
-				wcancel() // no point launching stripes past a failure
-			}
-		}(st)
-	}
-	wg.Wait()
-	for st := range errs {
-		if errs[st] != nil {
-			return 0, fmt.Errorf("blockserver: stripe %d: %w", st, errs[st])
-		}
-	}
-	if launched < stripes {
-		if err := classify(ctx.Err()); err != nil {
-			return 0, err
-		}
-		return 0, context.Canceled
+		return s.writeStripe(ctx, name, st, stripe)
+	})
+	if st, err := firstFailure(errs); err != nil {
+		return 0, fmt.Errorf("blockserver: stripe %d: %w", st, err)
 	}
 	return stripes, nil
 }
 
-// writeStripe encodes and uploads one stripe. The encode scratch comes
-// from the buffer pool; pooled buffers carry stale bytes, so the padding
-// tail is explicitly cleared before encoding.
-func (s *Store) writeStripe(ctx context.Context, name string, st int, data []byte, stripeData int) error {
-	chunk := bufpool.Get(stripeData)
-	lo := st * stripeData
-	hi := lo + stripeData
-	if hi > len(data) {
-		hi = len(data)
-	}
-	n := copy(chunk, data[lo:hi])
-	clear(chunk[n:])
+// writeStripe encodes one stripe's original bytes (k*blockSize, padding
+// included) and uploads its n blocks to their home servers in parallel.
+// It is the one stripe write path: WriteFile and the streaming Sink both
+// end here.
+func (s *Store) writeStripe(ctx context.Context, name string, st int, data []byte) error {
 	shards := make([][]byte, s.code.K())
 	for i := range shards {
-		shards[i] = chunk[i*s.blockSize : (i+1)*s.blockSize]
+		shards[i] = data[i*s.blockSize : (i+1)*s.blockSize]
 	}
 	blocks, err := s.code.Encode(shards)
-	bufpool.Put(chunk) // Encode copies its input; the scratch is free again
 	if err != nil {
 		return err
 	}
@@ -459,49 +420,13 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	stats := &ReadStats{TraceID: sp.TraceID(), mu: new(sync.Mutex)}
 	dialsBefore := s.pool.DialCounts()
 	out := make([]byte, stripes*stripeData)
-	rctx, rcancel := context.WithCancel(ctx)
-	defer rcancel()
-	sem := make(chan struct{}, s.depth)
-	errs := make([]error, stripes)
-	var wg sync.WaitGroup
-	launched := 0
-	for st := 0; st < stripes && rctx.Err() == nil; st++ {
-		select {
-		case sem <- struct{}{}:
-		case <-rctx.Done():
-		}
-		if rctx.Err() != nil {
-			break
-		}
-		launched++
-		wg.Add(1)
-		go func(st int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			mPipelineInflight.Add(1)
-			defer mPipelineInflight.Add(-1)
-			dst := out[st*stripeData : (st+1)*stripeData]
-			if err := s.readStripeCached(rctx, name, st, dst, stats); err != nil {
-				errs[st] = err
-				rcancel() // later stripes are pointless once one failed
-			}
-		}(st)
-	}
-	wg.Wait()
+	errs := pipelined(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+		return s.readStripeCached(ctx, name, st, out[st*stripeData:(st+1)*stripeData], stats)
+	})
 	stats.Dials = dialDelta(dialsBefore, s.pool.DialCounts())
-	for st := range errs {
-		if errs[st] != nil {
-			sp.SetAttr("error", errs[st].Error())
-			return nil, stats, fmt.Errorf("blockserver: stripe %d: %w", st, errs[st])
-		}
-	}
-	if launched < stripes {
-		err := classify(ctx.Err())
-		if err == nil {
-			err = context.Canceled
-		}
+	if st, err := firstFailure(errs); err != nil {
 		sp.SetAttr("error", err.Error())
-		return nil, stats, fmt.Errorf("blockserver: read aborted: %w", err)
+		return nil, stats, fmt.Errorf("blockserver: stripe %d: %w", st, err)
 	}
 	// The verify stage: the per-block CRC verdicts arrived in-band with the
 	// fetches; here the reassembled file is checked for completeness and the
@@ -511,6 +436,77 @@ func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, 
 	vsp.End()
 	sp.SetAttr("path", stats.Path())
 	return out[:size], stats, nil
+}
+
+// pipelined runs fn(ctx, i) for every i in [0, count) with at most depth
+// calls in flight, counted on the inflight gauge. It is the one bounded
+// loop behind ReadFile, WriteFile, Scrub and the repair passes: one
+// item's network round trips overlap its neighbors' coding work. The
+// first failing call cancels the context the others run under, so later
+// items are never launched and in-flight ones wind down; every launched
+// call has returned when pipelined does. errs[i] is item i's error, and
+// items never launched carry the cancellation cause.
+func pipelined(ctx context.Context, count, depth int, inflight *obs.Gauge, fn func(ctx context.Context, i int) error) []error {
+	errs := make([]error, count)
+	pctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	sem := make(chan struct{}, max(depth, 1))
+	var wg sync.WaitGroup
+	launched := 0
+	for ; launched < count; launched++ {
+		select {
+		case sem <- struct{}{}:
+		case <-pctx.Done():
+		}
+		if pctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			inflight.Add(1)
+			defer inflight.Add(-1)
+			if err := fn(pctx, i); err != nil {
+				errs[i] = err
+				cancel()
+			}
+		}(launched)
+	}
+	wg.Wait()
+	if launched < count {
+		cause := classify(ctx.Err())
+		if cause == nil {
+			cause = context.Canceled // cancelled by a failed item
+		}
+		for i := launched; i < count; i++ {
+			errs[i] = cause
+		}
+	}
+	return errs
+}
+
+// firstFailure picks the root-cause failure of a pipelined pass: the first
+// error, in item order, that is not a knock-on cancellation — falling back
+// to the first error of any kind. It returns (-1, nil) when every item
+// succeeded.
+func firstFailure(errs []error) (int, error) {
+	first := -1
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			return i, err
+		}
+		if first < 0 {
+			first = i
+		}
+	}
+	if first < 0 {
+		return -1, nil
+	}
+	return first, errs[first]
 }
 
 // dialDelta reports the per-peer dials that happened between two pool
@@ -542,13 +538,12 @@ type sourceResult struct {
 // traffic, and a miss runs the normal hedged fetch exactly once per
 // in-flight stripe (concurrent misses coalesce), inserting the result for
 // the next reader. With no cache this is a direct passthrough — the
-// uncached read path is byte-for-byte the pre-cache behavior, extra span
-// included.
+// uncached read path is byte-for-byte the pre-cache behavior.
 func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
 	if s.cache == nil {
 		return s.readStripeInto(ctx, name, st, dst, stats)
 	}
-	cctx, csp := obs.StartSpan(ctx, "cache")
+	cctx, csp := stageSpan(ctx, "cache")
 	csp.SetAttr("stripe", st)
 	hit, coalesced, err := s.cache.GetOrFetch(cctx, name, st, dst,
 		func(fctx context.Context, out []byte) error {
@@ -583,7 +578,7 @@ func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst [
 // the fallback path still moves whole blocks through pooled buffers
 // because the decode needs them assembled.
 func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
-	ctx, ssp := obs.StartSpan(ctx, "stripe")
+	ctx, ssp := stageSpan(ctx, "stripe")
 	ssp.SetAttr("stripe", st)
 	defer ssp.End()
 
@@ -592,7 +587,7 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 	// is pure bookkeeping — but it is a real stage of the paper's read
 	// pipeline and carrying it as a span keeps the decomposition uniform.
 	p := s.code.P()
-	_, lsp := obs.StartSpan(ctx, "locate")
+	_, lsp := stageSpan(ctx, "locate")
 	usize := s.blockSize / s.code.UnitsPerBlock()
 	per := s.code.DataUnitsPerBlock() * usize
 	lsp.SetAttr("sources", p).SetAttr("bytes_per_source", per)
@@ -605,7 +600,7 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 	// checkout blocked on an exhausted pool gives up with it — so the
 	// WaitGroup cannot leak. On failure the fallback below waits for every
 	// scatterer to exit before it overwrites dst.
-	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
+	fetchCtx, fsp := stageSpan(ctx, "fetch")
 	fsp.SetAttr("mode", "parallel").SetAttr("sources", p)
 	hctx, hcancel := context.WithTimeout(fetchCtx, s.hedge)
 	results := make(chan sourceResult, p)
@@ -681,7 +676,7 @@ func btoi(b bool) int {
 func (s *Store) readStripeAnyKInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
 	n := s.code.N()
 	k := s.code.K()
-	fetchCtx, fsp := obs.StartSpan(ctx, "fetch")
+	fetchCtx, fsp := stageSpan(ctx, "fetch")
 	fsp.SetAttr("mode", "anyk").SetAttr("sources", n).SetAttr("need", k)
 	fctx, fcancel := context.WithCancel(fetchCtx)
 	defer fcancel()
@@ -735,7 +730,7 @@ func (s *Store) readStripeAnyKInto(ctx context.Context, name string, st int, dst
 		}
 		return fmt.Errorf("%w: %d of %d blocks readable (first failure: %v)", ErrTooFewSurvivors, got, k, firstErr)
 	}
-	_, dsp := obs.StartSpan(ctx, "decode")
+	_, dsp := stageSpan(ctx, "decode")
 	dsp.SetAttr("blocks", got).SetAttr("bytes", k*s.blockSize)
 	err := s.code.ParallelReadInto(blocks, dst)
 	dsp.End()
@@ -986,32 +981,27 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	// in a per-stripe slot, so the report below reads them in deterministic
 	// (stripe, block) order no matter how the probes interleaved.
 	verdicts := make([][]error, stripes)
-	sem := make(chan struct{}, s.depth)
-	var wg sync.WaitGroup
-	for st := 0; st < stripes; st++ {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(st int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			v := make([]error, n)
-			var pw sync.WaitGroup
-			for i := 0; i < n; i++ {
-				pw.Add(1)
-				go func(i int) {
-					defer pw.Done()
-					// Probes ride the shared pool: one parked client per peer
-					// serves the whole scrub instead of a dial per probe.
-					v[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
-						return c.Verify(ctx, blockName(name, st, i))
-					})
-				}(i)
-			}
-			pw.Wait()
-			verdicts[st] = v
-		}(st)
+	errs := pipelined(ctx, stripes, s.depth, mPipelineInflight, func(ctx context.Context, st int) error {
+		v := make([]error, n)
+		var pw sync.WaitGroup
+		for i := 0; i < n; i++ {
+			pw.Add(1)
+			go func(i int) {
+				defer pw.Done()
+				// Probes ride the shared pool: one parked client per peer
+				// serves the whole scrub instead of a dial per probe.
+				v[i] = s.pool.WithClient(ctx, s.addrs[i], func(c *Client) error {
+					return c.Verify(ctx, blockName(name, st, i))
+				})
+			}(i)
+		}
+		pw.Wait()
+		verdicts[st] = v
+		return nil // a bad verdict is a finding, not a failed probe pass
+	})
+	if st, err := firstFailure(errs); err != nil {
+		return rep, fmt.Errorf("blockserver: scrub verify stripe %d: %w", st, err)
 	}
-	wg.Wait()
 	var broken []BlockRef
 	for st := 0; st < stripes; st++ {
 		for i, v := range verdicts[st] {
@@ -1044,17 +1034,17 @@ func (s *Store) Scrub(ctx context.Context, name string, size int, repair bool) (
 	for i, ref := range broken {
 		jobs[i] = repairJob{file: name, ref: ref}
 	}
-	outcomes := s.repairMany(ctx, jobs, s.depth, func(j repairJob) repairOpts {
+	traffic, errs := s.repairMany(ctx, jobs, s.depth, func(j repairJob) repairOpts {
 		return repairOpts{rot: j.ref.Stripe}
 	})
-	for i, o := range outcomes {
-		rep.TrafficBytes += o.traffic
-		if o.err == nil {
+	for i, err := range errs {
+		rep.TrafficBytes += traffic[i]
+		if err == nil {
 			rep.Repaired = append(rep.Repaired, broken[i])
 		}
 	}
-	if j, err := firstRepairError(jobs, outcomes); err != nil {
-		return rep, fmt.Errorf("blockserver: scrub repair stripe %d block %d: %w", j.ref.Stripe, j.ref.Block, err)
+	if i, err := firstFailure(errs); err != nil {
+		return rep, fmt.Errorf("blockserver: scrub repair stripe %d block %d: %w", broken[i].Stripe, broken[i].Block, err)
 	}
 	return rep, nil
 }

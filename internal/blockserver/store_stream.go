@@ -2,17 +2,17 @@ package blockserver
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"carousel/internal/stream"
 )
 
-// Sink returns a stream.BlockSink that uploads each encoded block of the
-// named file to its home server through the store's connection pool, under
-// the store's block-naming scheme. A stream.Writer stacked on it is the
-// streaming counterpart of WriteFile: blocks ride the same pooled
-// connections and land where ReadFile and Repair expect them.
-func (s *Store) Sink(ctx context.Context, name string) stream.BlockSink {
+// Sink returns a stream.StripeSink that encodes each stripe of the named
+// file and uploads its n blocks in parallel — the same stripe write path
+// WriteFile uses, over the same pooled connections, under the same block
+// names, so ReadFile and Repair find the blocks where they expect them.
+func (s *Store) Sink(ctx context.Context, name string) stream.StripeSink {
 	return &storeSink{s: s, ctx: ctx, name: name}
 }
 
@@ -22,94 +22,50 @@ type storeSink struct {
 	name string
 }
 
-func (k *storeSink) PutBlock(stripe, block int, data []byte) error {
-	err := k.s.put(k.ctx, k.s.addrs[block], blockName(k.name, stripe, block), data)
-	// A streaming write mutates blocks one at a time, so every upload bumps
-	// the file's cache generation — readers overlapping the stream never
-	// see a stale stripe, and the final bump retires anything cached
-	// mid-stream.
-	if err == nil && k.s.cache != nil {
+func (k *storeSink) WriteStripe(stripe int, data []byte) error {
+	if err := k.s.checkStripeLen(stripe, data); err != nil {
+		return err
+	}
+	err := k.s.writeStripe(k.ctx, k.name, stripe, data)
+	// A streaming write mutates the file one stripe at a time, so every
+	// stripe, landed or not, bumps the file's cache generation: a stripe
+	// cached before or during its upload is never served after it.
+	if k.s.cache != nil {
 		k.s.cache.Invalidate(k.name)
 	}
 	return err
 }
 
-// Source returns a stream.BlockSource that fetches whole blocks of the
-// named file over the store's connection pool, one pooled client per
-// server. Blocks whose server is down, whose content is corrupt, or that
-// are simply missing come back nil, so a stream.Reader (or
-// PrefetchReader) on top degrades per stripe through the Carousel
-// parallel read instead of failing the stream. The source implements
-// stream.BlockRecycler, so a PrefetchReader returns the fetched buffers
-// to the pool as soon as each stripe is decoded.
-func (s *Store) Source(ctx context.Context, name string) stream.BlockSource {
-	return &storeSource{s: s, ctx: ctx, name: name}
+// Source returns a stream.StripeSource that reads each stripe of the named
+// file through the store's stripe read path — the stripe cache when one is
+// configured, then the hedged p-source parallel read with its any-k
+// fallback — so a PrefetchReader on top moves the same bytes as ReadFile
+// and degrades per stripe the same way. Stage spans are recorded only
+// when ctx is already traced.
+func (s *Store) Source(ctx context.Context, name string) stream.StripeSource {
+	return &storeSource{s: s, ctx: ctx, name: name, stats: &ReadStats{mu: new(sync.Mutex)}}
 }
 
 type storeSource struct {
-	s    *Store
-	ctx  context.Context
-	name string
+	s     *Store
+	ctx   context.Context
+	name  string
+	stats *ReadStats // accumulates over every stripe the source serves
 }
 
-func (src *storeSource) StripeBlocks(stripe int) ([][]byte, error) {
-	n := src.s.code.N()
-	blocks := make([][]byte, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Per-block failures leave a nil entry; the decoder works
-			// around up to n-k of them.
-			_ = src.s.pool.WithClient(src.ctx, src.s.addrs[i], func(c *Client) error {
-				data, err := c.Get(src.ctx, blockName(src.name, stripe, i))
-				if err == nil {
-					blocks[i] = data
-				}
-				return err
-			})
-		}(i)
+func (src *storeSource) ReadStripeInto(stripe int, dst []byte) error {
+	if err := src.s.checkStripeLen(stripe, dst); err != nil {
+		return err
 	}
-	wg.Wait()
-	if err := src.ctx.Err(); err != nil {
-		for _, b := range blocks {
-			Recycle(b)
-		}
-		return nil, classify(err)
-	}
-	return blocks, nil
+	return src.s.readStripeCached(src.ctx, src.name, stripe, dst, src.stats)
 }
 
-// RecycleBlocks implements stream.BlockRecycler: fetched blocks go back to
-// the buffer pool once the stripe they belong to is decoded.
-func (src *storeSource) RecycleBlocks(blocks [][]byte) {
-	for _, b := range blocks {
-		Recycle(b)
+// checkStripeLen rejects a stream whose stripe width is not the store's
+// k*blockSize, as from a Writer or PrefetchReader built with another
+// block size.
+func (s *Store) checkStripeLen(stripe int, b []byte) error {
+	if want := s.code.K() * s.blockSize; len(b) != want {
+		return fmt.Errorf("blockserver: stripe %d is %d bytes, want %d", stripe, len(b), want)
 	}
-}
-
-// ReadStripeInto implements stream.StripeSource when the store has a
-// stripe cache: a hit copies the decoded stripe into dst with no network
-// traffic, and a miss runs the store's hedged fetch exactly once per
-// in-flight stripe, populating the cache for the next reader. With the
-// cache disabled it reports (false, nil) and the PrefetchReader falls
-// back to the per-block path unchanged.
-func (src *storeSource) ReadStripeInto(stripe int, dst []byte) (bool, error) {
-	c := src.s.cache
-	if c == nil {
-		return false, nil
-	}
-	stats := &ReadStats{mu: new(sync.Mutex)}
-	hit, _, err := c.GetOrFetch(src.ctx, src.name, stripe, dst,
-		func(fctx context.Context, out []byte) error {
-			return src.s.readStripeInto(fctx, src.name, stripe, out, stats)
-		})
-	if err != nil {
-		return false, err
-	}
-	if hit {
-		mCacheHitStripes.Inc()
-	}
-	return true, nil
+	return nil
 }

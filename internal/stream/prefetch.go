@@ -15,38 +15,22 @@ import (
 // keeps the same number of stripes moving.
 const DefaultPrefetchDepth = 4
 
-// StripeSource is an optional BlockSource extension: a source that can
-// serve a whole decoded stripe directly — for example out of a stripe
-// cache, skipping the per-block fetch and the decode — implements it. A
-// PrefetchReader tries it first for every stripe. ReadStripeInto fills
-// dst (k·blockSize bytes, padding included) and reports whether it served
-// the stripe; (false, nil) means "no fast path here, fetch blocks as
-// usual", and an error sinks the stripe.
-type StripeSource interface {
-	ReadStripeInto(stripe int, dst []byte) (bool, error)
-}
-
-// BlockRecycler is an optional BlockSource extension. A source whose
-// stripe blocks come out of a buffer pool implements it so the
-// PrefetchReader can hand the blocks back as soon as a stripe is decoded;
-// sources that retain ownership of their blocks (like MemSink) simply
-// don't implement it and are never called.
-type BlockRecycler interface {
-	RecycleBlocks(blocks [][]byte)
-}
-
-// stripeResult is one decoded stripe (or the error that sank it).
+// stripeResult is one stripe's bytes (or the error that sank it).
 type stripeResult struct {
 	data []byte // pooled; ownership moves to the receiver
 	err  error
 }
 
-// PrefetchReader is a pipelined Reader: while the caller consumes stripe
-// st, up to depth later stripes are being fetched from the source and
-// decoded concurrently, so the source's latency hides behind the
-// consumer's pace instead of serializing with it. Decoded stripes come out
-// of the shared buffer pool and go back as they are consumed, so a
-// steady-state stream allocates almost nothing.
+// PrefetchReader reassembles a stream of the given size from a
+// StripeSource. It is pipelined: while the caller consumes stripe st, up
+// to depth later stripes are being read from the source concurrently, so
+// the source's latency hides behind the consumer's pace instead of
+// serializing with it. Stripe buffers come out of the shared buffer pool
+// and go back as they are consumed, so a steady-state stream allocates
+// almost nothing.
+//
+// The first error sinks the stream: every later Read returns it, so a
+// failed stripe can never be skipped over.
 //
 // The reader is for a single consumer goroutine. Close releases every
 // in-flight stripe; it must be called when the caller stops early, and is
@@ -54,19 +38,20 @@ type stripeResult struct {
 type PrefetchReader struct {
 	size   int64
 	off    int64
-	cur    []byte // pooled; current decoded stripe
+	cur    []byte // pooled; current stripe
 	curOff int
+	err    error                  // sticky: the first stripe error
 	queue  chan chan stripeResult // stripe results in order, depth-bounded
 	quit   chan struct{}
 	closed bool
 }
 
-// NewPrefetchReader returns a pipelined streaming decoder for a stream of
-// the given original size. depth bounds how many stripes are fetched and
-// decoded ahead of the consumer; non-positive means DefaultPrefetchDepth.
-func NewPrefetchReader(code *carousel.Code, blockSize int, size int64, src BlockSource, depth int) (*PrefetchReader, error) {
-	if blockSize <= 0 || blockSize%code.BlockAlign() != 0 {
-		return nil, fmt.Errorf("stream: block size %d must be a positive multiple of %d", blockSize, code.BlockAlign())
+// NewPrefetchReader returns a pipelined streaming reader for a stream of
+// the given original size. depth bounds how many stripes are read ahead of
+// the consumer; non-positive means DefaultPrefetchDepth.
+func NewPrefetchReader(code *carousel.Code, blockSize int, size int64, src StripeSource, depth int) (*PrefetchReader, error) {
+	if err := checkBlockSize(code, blockSize); err != nil {
+		return nil, err
 	}
 	if size < 0 {
 		return nil, fmt.Errorf("stream: negative size %d", size)
@@ -82,20 +67,19 @@ func NewPrefetchReader(code *carousel.Code, blockSize int, size int64, src Block
 		queue: make(chan chan stripeResult, depth),
 		quit:  make(chan struct{}),
 	}
-	go dispatch(code, blockSize, size, src, r.queue, r.quit)
+	go dispatch(code.K()*blockSize, size, src, r.queue, r.quit)
 	return r, nil
 }
 
-// dispatch launches one fetch+decode goroutine per stripe, in order. The
+// dispatch launches one reader goroutine per stripe, in order. The
 // queue's capacity is the pipeline depth: enqueueing the stripe's result
 // slot blocks once depth stripes are outstanding, which is what throttles
 // the prefetch to the consumer's pace. Each worker delivers into its own
 // buffered slot, so workers never block and never leak, even when the
 // reader is closed mid-stream.
-func dispatch(code *carousel.Code, blockSize int, size int64, src BlockSource, queue chan chan stripeResult, quit chan struct{}) {
+func dispatch(per int, size int64, src StripeSource, queue chan chan stripeResult, quit chan struct{}) {
 	defer close(queue)
-	per := int64(code.K()) * int64(blockSize)
-	stripes := int((size + per - 1) / per)
+	stripes := int((size + int64(per) - 1) / int64(per))
 	for st := 0; st < stripes; st++ {
 		slot := make(chan stripeResult, 1)
 		select {
@@ -104,37 +88,11 @@ func dispatch(code *carousel.Code, blockSize int, size int64, src BlockSource, q
 			return
 		}
 		go func(st int, slot chan<- stripeResult) {
-			// Fast path: a source that can produce the whole decoded stripe
-			// (a cache hit, or a coalesced fetch) delivers straight into a
-			// pooled buffer — the cache copies into it, so recycling the
-			// buffer downstream never races the cache's own entry.
-			if ss, ok := src.(StripeSource); ok {
-				out := bufpool.Get(int(per))
-				served, err := ss.ReadStripeInto(st, out)
-				if err != nil {
-					bufpool.Put(out)
-					slot <- stripeResult{err: fmt.Errorf("stream: fetching stripe %d: %w", st, err)}
-					return
-				}
-				if served {
-					slot <- stripeResult{data: out}
-					return
-				}
+			out := bufpool.Get(per)
+			if err := src.ReadStripeInto(st, out); err != nil {
 				bufpool.Put(out)
-			}
-			blocks, err := src.StripeBlocks(st)
-			if err != nil {
-				slot <- stripeResult{err: fmt.Errorf("stream: fetching stripe %d: %w", st, err)}
+				slot <- stripeResult{err: fmt.Errorf("stream: reading stripe %d: %w", st, err)}
 				return
-			}
-			out := bufpool.Get(int(per))
-			if err := code.ParallelReadInto(blocks, out); err != nil {
-				bufpool.Put(out)
-				slot <- stripeResult{err: fmt.Errorf("stream: decoding stripe %d: %w", st, err)}
-				return
-			}
-			if rec, ok := src.(BlockRecycler); ok {
-				rec.RecycleBlocks(blocks)
 			}
 			slot <- stripeResult{data: out}
 		}(st, slot)
@@ -142,10 +100,13 @@ func dispatch(code *carousel.Code, blockSize int, size int64, src BlockSource, q
 }
 
 // Read implements io.Reader. Stripes arrive in order regardless of which
-// finished decoding first.
+// finished reading first.
 func (r *PrefetchReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, errors.New("stream: read after Close")
+	}
+	if r.err != nil {
+		return 0, r.err
 	}
 	if r.off >= r.size {
 		return 0, io.EOF
@@ -157,11 +118,13 @@ func (r *PrefetchReader) Read(p []byte) (int, error) {
 		}
 		slot, ok := <-r.queue
 		if !ok {
-			return 0, io.ErrUnexpectedEOF
+			r.err = io.ErrUnexpectedEOF
+			return 0, r.err
 		}
 		res := <-slot
 		if res.err != nil {
-			return 0, res.err
+			r.err = res.err
+			return 0, r.err
 		}
 		r.cur = res.data
 		r.curOff = 0

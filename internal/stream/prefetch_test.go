@@ -35,31 +35,14 @@ func TestPrefetchRoundTripVariousSizes(t *testing.T) {
 	for _, size := range []int{1, blockSize - 1, stripeData, stripeData + 1, 9*stripeData - 7} {
 		data := make([]byte, size)
 		rng.Read(data)
-		sink := &MemSink{}
-		w, err := NewWriter(code, blockSize, sink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
+		sink := writeStream(t, code, blockSize, data, size)
 		for _, depth := range []int{1, 3, 0 /* default */} {
-			r, err := NewPrefetchReader(code, blockSize, int64(size), sink, depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := io.ReadAll(r)
+			got, err := readAll(t, code, blockSize, size, sink, depth)
 			if err != nil {
 				t.Fatalf("size %d depth %d: %v", size, depth, err)
 			}
 			if !bytes.Equal(got, data) {
 				t.Fatalf("size %d depth %d: round trip mismatch", size, depth)
-			}
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
 			}
 		}
 	}
@@ -73,29 +56,14 @@ func TestPrefetchReaderToleratesMissingBlocks(t *testing.T) {
 	size := 4 * stripeData
 	data := make([]byte, size)
 	rand.New(rand.NewSource(3)).Read(data)
-	sink := &MemSink{}
-	w, err := NewWriter(code, blockSize, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sink := writeStream(t, code, blockSize, data, size)
 	// Drop a different set of n-k blocks from every stripe.
 	for st := 0; st < 4; st++ {
 		for i := 0; i < code.N()-code.K(); i++ {
 			sink.Drop(st, (st+i*3)%code.N())
 		}
 	}
-	r, err := NewPrefetchReader(code, blockSize, int64(size), sink, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	got, err := io.ReadAll(r)
+	got, err := readAll(t, code, blockSize, size, sink, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,17 +82,7 @@ func TestPrefetchReaderEarlyClose(t *testing.T) {
 	size := 16 * stripeData
 	data := make([]byte, size)
 	rand.New(rand.NewSource(4)).Read(data)
-	sink := &MemSink{}
-	w, err := NewWriter(code, blockSize, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sink := writeStream(t, code, blockSize, data, size)
 	base := runtime.NumGoroutine()
 	r, err := NewPrefetchReader(code, blockSize, int64(size), sink, 4)
 	if err != nil {
@@ -146,16 +104,17 @@ func TestPrefetchReaderEarlyClose(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// failingSource delivers one good stripe, then errors.
+// failingSource fails the stripes in bad and serves the rest from good.
 type failingSource struct {
-	good BlockSource
+	good StripeSource
+	bad  func(stripe int) bool
 }
 
-func (f *failingSource) StripeBlocks(stripe int) ([][]byte, error) {
-	if stripe == 0 {
-		return f.good.StripeBlocks(0)
+func (f *failingSource) ReadStripeInto(stripe int, dst []byte) error {
+	if f.bad(stripe) {
+		return fmt.Errorf("stripe %d unavailable", stripe)
 	}
-	return nil, fmt.Errorf("stripe %d unavailable", stripe)
+	return f.good.ReadStripeInto(stripe, dst)
 }
 
 func TestPrefetchReaderPropagatesSourceError(t *testing.T) {
@@ -165,19 +124,10 @@ func TestPrefetchReaderPropagatesSourceError(t *testing.T) {
 	size := 3 * stripeData
 	data := make([]byte, size)
 	rand.New(rand.NewSource(5)).Read(data)
-	sink := &MemSink{}
-	w, err := NewWriter(code, blockSize, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sink := writeStream(t, code, blockSize, data, size)
 	base := runtime.NumGoroutine()
-	r, err := NewPrefetchReader(code, blockSize, int64(size), &failingSource{good: sink}, 2)
+	src := &failingSource{good: sink, bad: func(st int) bool { return st > 0 }}
+	r, err := NewPrefetchReader(code, blockSize, int64(size), src, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,12 +144,53 @@ func TestPrefetchReaderPropagatesSourceError(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestPrefetchReaderErrorIsSticky: when the middle stripe of three fails,
+// every Read after the failure returns the same error — the reader never
+// moves on to stripe 2 and hands its bytes out as if they followed
+// stripe 0.
+func TestPrefetchReaderErrorIsSticky(t *testing.T) {
+	code := mustCode(t)
+	blockSize := code.BlockAlign() * 8
+	stripeData := code.K() * blockSize
+	size := 3 * stripeData
+	data := make([]byte, size)
+	rand.New(rand.NewSource(6)).Read(data)
+	sink := writeStream(t, code, blockSize, data, size)
+	base := runtime.NumGoroutine()
+	src := &failingSource{good: sink, bad: func(st int) bool { return st == 1 }}
+	r, err := NewPrefetchReader(code, blockSize, int64(size), src, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, stripeData)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		t.Fatalf("stripe 0: %v", err)
+	}
+	if !bytes.Equal(buf, data[:stripeData]) {
+		t.Fatal("stripe 0 mismatch")
+	}
+	n, first := r.Read(buf)
+	if n != 0 || first == nil {
+		t.Fatalf("read of the failed stripe = (%d, %v), want an error", n, first)
+	}
+	for i := 0; i < 3; i++ {
+		if n, err := r.Read(buf); n != 0 || err != first {
+			t.Fatalf("read %d after the failure = (%d, %v), want (0, %v)", i, n, err, first)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitGoroutines(t, base)
+}
+
 func TestPrefetchReaderValidation(t *testing.T) {
 	code := mustCode(t)
-	if _, err := NewPrefetchReader(code, 7, 100, &MemSink{}, 1); err == nil {
+	sink := NewMemSink(code, code.BlockAlign())
+	if _, err := NewPrefetchReader(code, 7, 100, sink, 1); err == nil {
 		t.Error("misaligned block size accepted")
 	}
-	if _, err := NewPrefetchReader(code, code.BlockAlign(), -1, &MemSink{}, 1); err == nil {
+	if _, err := NewPrefetchReader(code, code.BlockAlign(), -1, sink, 1); err == nil {
 		t.Error("negative size accepted")
 	}
 	if _, err := NewPrefetchReader(code, code.BlockAlign(), 100, nil, 1); err == nil {

@@ -1,61 +1,64 @@
-// Package stream provides stripe-at-a-time streaming encode and decode for
-// Carousel codes: a Writer that consumes an arbitrary byte stream, encodes
-// every k*blockSize bytes into one stripe of n blocks, and hands the
-// blocks to a sink; and a Reader that reassembles the stream from a block
-// source, using the Carousel parallel read so missing blocks degrade
-// gracefully. This is the shape of the paper's HDFS integration: files are
-// stored as sequences of encoded stripes.
+// Package stream is the io plumbing over whole stripes of a Carousel-coded
+// file: a Writer that consumes an arbitrary byte stream and hands every
+// k*blockSize bytes to a sink as one stripe, and a PrefetchReader that
+// reassembles the stream from a source stripe by stripe. Neither encodes
+// nor decodes; the backend behind the interfaces does — the block store's
+// hedged stripe pipeline over TCP, or MemSink in memory. This is the shape
+// of the paper's HDFS integration: files are stored as sequences of
+// encoded stripes.
 package stream
 
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"carousel/internal/carousel"
 )
 
-// BlockSink receives the encoded blocks of each stripe, in order. The data
-// slice is owned by the sink after the call.
-type BlockSink interface {
-	PutBlock(stripe, block int, data []byte) error
+// StripeSink stores the stripes of a stream, in order. data is one
+// stripe's original bytes, k*blockSize long with the final stripe's zero
+// padding included; the sink must not retain it after the call returns.
+type StripeSink interface {
+	WriteStripe(stripe int, data []byte) error
 }
 
-// BlockSource returns the blocks of a stripe; unavailable blocks are nil
-// entries. The returned slices are not modified.
-type BlockSource interface {
-	StripeBlocks(stripe int) ([][]byte, error)
+// StripeSource serves the stripes of a stream: ReadStripeInto fills dst
+// (k*blockSize bytes, padding included) with one stripe's original bytes.
+// It may be called for several stripes concurrently.
+type StripeSource interface {
+	ReadStripeInto(stripe int, dst []byte) error
 }
 
-// Writer encodes a byte stream into consecutive stripes. It implements
+// checkBlockSize validates a stream's block size against the code.
+func checkBlockSize(code *carousel.Code, blockSize int) error {
+	if blockSize <= 0 || blockSize%code.BlockAlign() != 0 {
+		return fmt.Errorf("stream: block size %d must be a positive multiple of %d", blockSize, code.BlockAlign())
+	}
+	return nil
+}
+
+// Writer cuts a byte stream into consecutive stripes. It implements
 // io.WriteCloser; Close flushes the final, zero-padded stripe. The total
 // number of bytes written must be recorded by the caller (e.g. in a
 // manifest) to trim the padding on read.
 type Writer struct {
-	code      *carousel.Code
-	sink      BlockSink
-	blockSize int
-	buf       []byte
-	fill      int
-	stripe    int
-	closed    bool
+	sink   StripeSink
+	buf    []byte
+	fill   int
+	stripe int
+	closed bool
 }
 
-// NewWriter returns a streaming encoder. blockSize must be a positive
+// NewWriter returns a streaming writer. blockSize must be a positive
 // multiple of code.BlockAlign().
-func NewWriter(code *carousel.Code, blockSize int, sink BlockSink) (*Writer, error) {
-	if blockSize <= 0 || blockSize%code.BlockAlign() != 0 {
-		return nil, fmt.Errorf("stream: block size %d must be a positive multiple of %d", blockSize, code.BlockAlign())
+func NewWriter(code *carousel.Code, blockSize int, sink StripeSink) (*Writer, error) {
+	if err := checkBlockSize(code, blockSize); err != nil {
+		return nil, err
 	}
 	if sink == nil {
 		return nil, errors.New("stream: nil sink")
 	}
-	return &Writer{
-		code:      code,
-		sink:      sink,
-		blockSize: blockSize,
-		buf:       make([]byte, code.K()*blockSize),
-	}, nil
+	return &Writer{sink: sink, buf: make([]byte, code.K()*blockSize)}, nil
 }
 
 // Write buffers p, emitting a stripe whenever k*blockSize bytes are
@@ -79,20 +82,10 @@ func (w *Writer) Write(p []byte) (int, error) {
 	return written, nil
 }
 
-// flush encodes and emits the buffered stripe.
+// flush hands the buffered stripe to the sink.
 func (w *Writer) flush() error {
-	shards := make([][]byte, w.code.K())
-	for i := range shards {
-		shards[i] = w.buf[i*w.blockSize : (i+1)*w.blockSize]
-	}
-	blocks, err := w.code.Encode(shards)
-	if err != nil {
-		return fmt.Errorf("stream: encoding stripe %d: %w", w.stripe, err)
-	}
-	for i, b := range blocks {
-		if err := w.sink.PutBlock(w.stripe, i, b); err != nil {
-			return fmt.Errorf("stream: sink stripe %d block %d: %w", w.stripe, i, err)
-		}
+	if err := w.sink.WriteStripe(w.stripe, w.buf); err != nil {
+		return fmt.Errorf("stream: writing stripe %d: %w", w.stripe, err)
 	}
 	w.stripe++
 	w.fill = 0
@@ -109,102 +102,62 @@ func (w *Writer) Close() error {
 		return nil
 	}
 	clear(w.buf[w.fill:])
-	w.fill = len(w.buf)
 	return w.flush()
 }
 
 // Stripes returns the number of stripes emitted so far.
 func (w *Writer) Stripes() int { return w.stripe }
 
-// Reader reassembles the original stream of the given size from a block
-// source. It implements io.Reader; stripes are fetched lazily and decoded
-// with the Carousel parallel read, so up to n-k missing blocks per stripe
-// are tolerated.
-type Reader struct {
-	code      *carousel.Code
-	src       BlockSource
-	blockSize int
-	size      int64 // original stream length
-	off       int64
-	stripe    int
-	buf       []byte // decoded current stripe
-	bufOff    int
-}
-
-// NewReader returns a streaming decoder for a stream of the given original
-// size.
-func NewReader(code *carousel.Code, blockSize int, size int64, src BlockSource) (*Reader, error) {
-	if blockSize <= 0 || blockSize%code.BlockAlign() != 0 {
-		return nil, fmt.Errorf("stream: block size %d must be a positive multiple of %d", blockSize, code.BlockAlign())
-	}
-	if size < 0 {
-		return nil, fmt.Errorf("stream: negative size %d", size)
-	}
-	if src == nil {
-		return nil, errors.New("stream: nil source")
-	}
-	return &Reader{code: code, src: src, blockSize: blockSize, size: size}, nil
-}
-
-// Read implements io.Reader.
-func (r *Reader) Read(p []byte) (int, error) {
-	if r.off >= r.size {
-		return 0, io.EOF
-	}
-	if r.bufOff >= len(r.buf) {
-		blocks, err := r.src.StripeBlocks(r.stripe)
-		if err != nil {
-			return 0, fmt.Errorf("stream: fetching stripe %d: %w", r.stripe, err)
-		}
-		data, err := r.code.ParallelRead(blocks)
-		if err != nil {
-			return 0, fmt.Errorf("stream: decoding stripe %d: %w", r.stripe, err)
-		}
-		r.buf = data
-		r.bufOff = 0
-		r.stripe++
-	}
-	n := copy(p, r.buf[r.bufOff:])
-	if rem := r.size - r.off; int64(n) > rem {
-		n = int(rem)
-	}
-	r.bufOff += n
-	r.off += int64(n)
-	if n == 0 && r.off < r.size {
-		return 0, io.ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
-// MemSink is an in-memory BlockSink/BlockSource, convenient for tests and
-// small files.
+// MemSink is the in-memory backend: a StripeSink that encodes every stripe
+// into n blocks and a StripeSource that decodes them back with the
+// Carousel parallel read, so up to n-k dropped blocks per stripe are
+// tolerated. It is convenient for tests and small files.
 type MemSink struct {
-	stripes [][][]byte
+	code      *carousel.Code
+	blockSize int
+	stripes   [][][]byte
 }
 
 var (
-	_ BlockSink   = (*MemSink)(nil)
-	_ BlockSource = (*MemSink)(nil)
+	_ StripeSink   = (*MemSink)(nil)
+	_ StripeSource = (*MemSink)(nil)
 )
 
-// PutBlock implements BlockSink.
-func (m *MemSink) PutBlock(stripe, block int, data []byte) error {
+// NewMemSink returns an empty in-memory backend for stripes of
+// k*blockSize bytes.
+func NewMemSink(code *carousel.Code, blockSize int) *MemSink {
+	return &MemSink{code: code, blockSize: blockSize}
+}
+
+// WriteStripe implements StripeSink: the stripe is encoded and its n
+// blocks are kept.
+func (m *MemSink) WriteStripe(stripe int, data []byte) error {
+	k := m.code.K()
+	if len(data) != k*m.blockSize {
+		return fmt.Errorf("stream: stripe %d is %d bytes, want %d", stripe, len(data), k*m.blockSize)
+	}
+	shards := make([][]byte, k)
+	for i := range shards {
+		shards[i] = data[i*m.blockSize : (i+1)*m.blockSize]
+	}
+	blocks, err := m.code.Encode(shards)
+	if err != nil {
+		return err
+	}
 	for len(m.stripes) <= stripe {
 		m.stripes = append(m.stripes, nil)
 	}
-	for len(m.stripes[stripe]) <= block {
-		m.stripes[stripe] = append(m.stripes[stripe], nil)
-	}
-	m.stripes[stripe][block] = data
+	m.stripes[stripe] = blocks
 	return nil
 }
 
-// StripeBlocks implements BlockSource.
-func (m *MemSink) StripeBlocks(stripe int) ([][]byte, error) {
+// ReadStripeInto implements StripeSource by decoding the stripe's
+// surviving blocks into dst.
+func (m *MemSink) ReadStripeInto(stripe int, dst []byte) error {
 	if stripe < 0 || stripe >= len(m.stripes) {
-		return nil, fmt.Errorf("stream: stripe %d out of range [0,%d)", stripe, len(m.stripes))
+		return fmt.Errorf("stream: stripe %d out of range [0,%d)", stripe, len(m.stripes))
 	}
-	return m.stripes[stripe], nil
+	return m.code.ParallelReadInto(m.stripes[stripe], dst)
 }
 
 // Drop marks a block unavailable, for failure injection.
