@@ -1,6 +1,6 @@
 // Tcpcluster runs twelve real block servers on localhost TCP ports, stores
 // a Carousel-coded file across them, reads it back from all twelve in
-// parallel, kills a server, performs a degraded (any-k fallback) read,
+// parallel, kills a server, performs a degraded (Section VII) read,
 // corrupts a block and lets the checksum scrub repair it, and finally
 // regenerates the lost block with helper chunks computed server-side — the
 // complete deployment story of the paper over actual sockets.
@@ -93,8 +93,10 @@ func main() {
 	}
 	fmt.Printf("healthy read: 1/12 of the data from each server, path=%s\n", stats.Path())
 
-	// Kill server 5 and read again: the hedged read notices the dead
-	// source and falls back to an any-k decode from the fastest k.
+	// Kill server 5 and read again: the hedged read keeps the other
+	// prefixes and fetches only the dead source's K units from the parity
+	// units of the survivors (p = n here, so there are no spare blocks),
+	// solving its range in place.
 	servers[5].Close()
 	got, stats, err = store.ReadFile(ctx, "demo", len(data))
 	if err != nil {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"carousel/internal/carousel"
@@ -252,5 +254,27 @@ func TestProtocolNameValidation(t *testing.T) {
 	defer c.Close()
 	if err := c.Put(context.Background(), "", []byte("x")); err == nil {
 		t.Error("empty name did not error")
+	}
+}
+
+// TestBlockNameMatchesSprintf pins the block key format: the appended key
+// must be byte-identical to the "%s/%d/%d" form every stored block was
+// written under.
+func TestBlockNameMatchesSprintf(t *testing.T) {
+	for _, tc := range []struct {
+		file          string
+		stripe, block int
+	}{
+		{"f", 0, 0},
+		{"obsfile", 3, 11},
+		{"", 7, 2},
+		{"dir/sub/file.bin", 123456789, 255},
+		{"negative", -1, -12},
+		{strings.Repeat("long-name-", 12), 1 << 40, 9},
+	} {
+		want := fmt.Sprintf("%s/%d/%d", tc.file, tc.stripe, tc.block)
+		if got := BlockName(tc.file, tc.stripe, tc.block); got != want {
+			t.Errorf("BlockName(%q, %d, %d) = %q, want %q", tc.file, tc.stripe, tc.block, got, want)
+		}
 	}
 }

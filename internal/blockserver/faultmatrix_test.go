@@ -527,9 +527,9 @@ func TestClientTimeoutTyped(t *testing.T) {
 // TestDegradedReadAB is the EXPERIMENTS.md recipe: an A/B of read latency
 // with and without an injected straggler. A = all 14 servers healthy
 // (parallel path). B = one data server's writes delayed well past the
-// hedge deadline (any-k fallback). The hedge must bound B's latency by
-// roughly hedge + fallback-fetch time instead of the straggler's delay,
-// and both reads must be byte-identical.
+// hedge deadline (Section VII degraded read). The hedge must bound B's
+// latency by roughly hedge + degraded-fetch time instead of the
+// straggler's delay, and both reads must be byte-identical.
 func TestDegradedReadAB(t *testing.T) {
 	code, err := carousel.New(14, 10, 10, 12)
 	if err != nil {
@@ -583,5 +583,5 @@ func TestDegradedReadAB(t *testing.T) {
 	if latB >= 2*stragglerDelay {
 		t.Fatalf("hedged read took %v, straggler delay not cut off", latB)
 	}
-	t.Logf("A (healthy, parallel): %v; B (600ms straggler, hedged any-k): %v", latA, latB)
+	t.Logf("A (healthy, parallel): %v; B (600ms straggler, hedged degraded read): %v", latA, latB)
 }

@@ -114,22 +114,23 @@ func TestDegradedReadObservability(t *testing.T) {
 			t.Errorf("span %q (%d) has parent %d outside its trace", s.Name, s.ID, s.Parent)
 		}
 	}
-	// The fallback fetch identifies itself, and the decode hangs off a
-	// stripe span — the shape `carouselctl`'s /debug/traces tree renders.
-	anyk := false
+	// The phase-2 fetch of the planned units identifies itself, and the
+	// decode hangs off a stripe span — the shape `carouselctl`'s
+	// /debug/traces tree renders.
+	degraded := false
 	for _, s := range spans {
 		if s.Name != "fetch" {
 			continue
 		}
-		if v := s.Attr("mode"); v == "anyk" {
-			anyk = true
+		if v := s.Attr("mode"); v == "degraded" {
+			degraded = true
 			if p, ok := byID[s.Parent]; !ok || p.Name != "stripe" {
-				t.Errorf("anyk fetch span's parent is %v, want a stripe span", s.Parent)
+				t.Errorf("degraded fetch span's parent is %v, want a stripe span", s.Parent)
 			}
 		}
 	}
-	if !anyk {
-		t.Error("no fetch span with mode=anyk despite fallback stripes")
+	if !degraded {
+		t.Error("no fetch span with mode=degraded despite fallback stripes")
 	}
 	for _, s := range spans {
 		if s.Name == "decode" {

@@ -52,7 +52,7 @@ type peer struct {
 }
 
 // Pool is a bounded per-peer client pool shared by every stage of the
-// stripe engine: the hedged parallel read, the any-k fallback, scrub
+// stripe engine: the hedged parallel read, the degraded unit fetches, scrub
 // probes, repair helper fetches, and the stream adapters. Clients come out
 // with their cancellation watcher stopped and are health-checked on
 // checkout; a client poisoned mid-use (protocol desync, timeout) comes

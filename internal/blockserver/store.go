@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -73,11 +75,12 @@ const DefaultPipelineDepth = 4
 // each of d helpers.
 //
 // The read path is hedged and straggler-tolerant: the p-source parallel
-// read runs under a hedge deadline, and as soon as any source fails — or
-// the deadline passes with stragglers outstanding — the stripe falls back
-// to an any-k decode over the fastest k responders, cancelling every other
-// stream. Corrupt blocks (detected by the servers' CRC32C verification)
-// are excluded from decodes and can be regenerated with Scrub.
+// read runs under a hedge deadline, and the prefixes of sources that fail
+// or straggle past it are rebuilt from the few units the paper's Section
+// VII plan names (K per missing block), so a degraded stripe moves no more
+// bytes than a healthy one. Corrupt blocks (detected by the servers'
+// CRC32C verification) are excluded from decodes and can be regenerated
+// with Scrub.
 type Store struct {
 	code      *carousel.Code
 	addrs     []string
@@ -87,6 +90,10 @@ type Store struct {
 	depth     int   // stripes kept in flight by ReadFile/WriteFile
 	poolSize  int   // per-peer connection budget; <=0 disables pooling
 	pool      *Pool // shared by reads, writes, scrub, and repair
+	// prefixes lists the data units of every data-bearing block in stored
+	// order: what a healthy stripe read fetches, unit i landing at
+	// i*unitSize of the stripe.
+	prefixes []carousel.UnitRef
 
 	// cache, when non-nil, serves hot stripes from memory with singleflight
 	// miss coalescing. Nil (the default) keeps the read path byte-identical
@@ -107,8 +114,8 @@ func WithClientOptions(o Options) StoreOption {
 	return func(s *Store) { s.client = o }
 }
 
-// WithHedgeDelay sets how long the parallel read waits for straggling
-// sources before falling back to the fastest-k decode (default 500ms).
+// WithHedgeDelay sets how long each fetch phase of a stripe read waits for
+// straggling sources before reading around them (default 500ms).
 func WithHedgeDelay(d time.Duration) StoreOption {
 	return func(s *Store) {
 		if d > 0 {
@@ -175,6 +182,11 @@ func NewStore(code *carousel.Code, addrs []string, blockSize int, opts ...StoreO
 		opt(s)
 	}
 	s.client = s.client.withDefaults()
+	for b := 0; b < code.P(); b++ {
+		for pos := 0; pos < code.DataUnitsPerBlock(); pos++ {
+			s.prefixes = append(s.prefixes, carousel.UnitRef{Block: b, Pos: pos})
+		}
+	}
 	per := s.poolSize
 	if per <= 0 {
 		per = -1 // pooling disabled: fresh client per checkout
@@ -200,9 +212,17 @@ func (s *Store) Pool() *Pool {
 	return s.pool
 }
 
-// blockName keys a block on its server.
+// blockName keys a block on its server: "file/stripe/idx". It runs once
+// per block RPC, so the key is appended into a stack buffer and copied
+// out once instead of formatted.
 func blockName(file string, stripe, idx int) string {
-	return fmt.Sprintf("%s/%d/%d", file, stripe, idx)
+	var buf [64]byte
+	b := append(buf[:0], file...)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(stripe), 10)
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(idx), 10)
+	return string(b)
 }
 
 // BlockName returns the key under which the Store places block idx of the
@@ -302,8 +322,9 @@ type ReadStats struct {
 	// StripesParallel counts stripes served entirely by the p-source
 	// parallel prefix read.
 	StripesParallel int
-	// StripesFallback counts stripes that fell back to the fastest-k
-	// any-k decode after a source failed or straggled.
+	// StripesFallback counts degraded stripes: a data source failed or
+	// straggled, and its range was solved from the Section VII plan's units
+	// (or, when fewer than k blocks answered in time, from an any-k decode).
 	StripesFallback int
 	// CacheHits counts stripes served straight from the stripe cache — no
 	// network, no decode. A fully-warm read shows CacheHits == stripes and
@@ -316,8 +337,10 @@ type ReadStats struct {
 	// verification, including losers whose verdicts arrived after the
 	// stripe was already decided.
 	CorruptSources int
-	// BytesFetched counts payload bytes received from servers, including
-	// bytes from streams that lost the any-k race.
+	// BytesFetched counts payload bytes received from servers: prefixes,
+	// the degraded read's planned units, and whole blocks from every stream
+	// of an any-k race, losers included. A degraded read with spare blocks
+	// up moves the same bytes as a healthy one.
 	BytesFetched int64
 	// Dials maps peer address to how many fresh TCP connections this read
 	// opened. A warm pooled read shows an empty map — every fetch reused a
@@ -341,7 +364,7 @@ func (rs *ReadStats) parallelStripe() {
 	mStripesParallel.Inc()
 }
 
-// fallbackStripe records a stripe that fell back to the any-k decode.
+// fallbackStripe records a degraded stripe.
 func (rs *ReadStats) fallbackStripe() {
 	rs.mu.Lock()
 	rs.StripesFallback++
@@ -369,13 +392,13 @@ func (rs *ReadStats) coalescedStripe() {
 // accounting point for both the winners and the drained losers, so no
 // stream's bytes or corruption verdict is ever dropped.
 func (rs *ReadStats) source(r sourceResult) {
-	if r.err != nil {
-		if errors.Is(r.err, ErrCorrupt) {
-			rs.mu.Lock()
-			rs.CorruptSources++
-			rs.mu.Unlock()
-			mCorruptSources.Inc()
-		}
+	if errors.Is(r.err, ErrCorrupt) {
+		rs.mu.Lock()
+		rs.CorruptSources++
+		rs.mu.Unlock()
+		mCorruptSources.Inc()
+	}
+	if r.bytes == 0 {
 		return
 	}
 	rs.mu.Lock()
@@ -401,8 +424,9 @@ func (rs *ReadStats) Path() string {
 // one stripe's prefix fetches overlap its neighbors' decode and
 // reassembly, and each stripe decodes directly into its slot of a single
 // presized output buffer (no append growth, no final copy). Within a
-// stripe the hedged p-source parallel path runs first; on failure or
-// straggling the stripe is decoded from the fastest k responders. The
+// stripe the hedged p-source parallel path runs first; the ranges of
+// failed or straggling sources are then solved from the Section VII
+// degraded read (see readStripeInto). The
 // returned stats report which path served each stripe and how many fresh
 // connections the read cost.
 func (s *Store) ReadFile(ctx context.Context, name string, size int) (_ []byte, _ *ReadStats, rerr error) {
@@ -571,12 +595,17 @@ func (s *Store) readStripeCached(ctx context.Context, name string, st int, dst [
 }
 
 // readStripeInto fetches one stripe's original data directly into dst
-// (k*blockSize bytes): hedged parallel prefix reads first, fastest-k
-// fallback second. Fetches run over pooled clients. On the parallel path
-// each source's range lands straight in its slot of dst (a scatter read —
-// the socket fills the output buffer, no pooled intermediary, no copy);
-// the fallback path still moves whole blocks through pooled buffers
-// because the decode needs them assembled.
+// (k*blockSize bytes). It is the one stripe read path; fetches run over
+// pooled clients under the hedge deadline.
+//
+// Phase 1 fetches the p data prefixes in parallel, each straight into its
+// slot of dst (the socket fills the output buffer: no pooled intermediary,
+// no copy). A prefix that fails or straggles past the deadline does not
+// cancel the others: every prefix that arrives in time stays in dst, and
+// phase 2 (readMissingInto) fetches only the units the Section VII plan
+// names for the missing ones and solves their ranges in place. The
+// whole-block any-k race is the last resort, for when fewer than k blocks
+// answer in time.
 func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []byte, stats *ReadStats) error {
 	ctx, ssp := stageSpan(ctx, "stripe")
 	ssp.SetAttr("stripe", st)
@@ -589,83 +618,122 @@ func (s *Store) readStripeInto(ctx context.Context, name string, st int, dst []b
 	p := s.code.P()
 	_, lsp := stageSpan(ctx, "locate")
 	usize := s.blockSize / s.code.UnitsPerBlock()
-	per := s.code.DataUnitsPerBlock() * usize
-	lsp.SetAttr("sources", p).SetAttr("bytes_per_source", per)
+	lsp.SetAttr("sources", p).SetAttr("bytes_per_source", s.code.DataUnitsPerBlock()*usize)
 	lsp.End()
 
-	// Phase 1: scatter every data-bearing block's data prefix in parallel,
-	// each directly into its slot of dst (the slots are disjoint, so the
-	// sources need no coordination), bounded by the hedge deadline. The
-	// context bound guarantees every goroutine exits by the deadline — a
-	// checkout blocked on an exhausted pool gives up with it — so the
-	// WaitGroup cannot leak. On failure the fallback below waits for every
-	// scatterer to exit before it overwrites dst.
-	fetchCtx, fsp := stageSpan(ctx, "fetch")
-	fsp.SetAttr("mode", "parallel").SetAttr("sources", p)
-	hctx, hcancel := context.WithTimeout(fetchCtx, s.hedge)
-	results := make(chan sourceResult, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := s.pool.Get(hctx, s.addrs[i])
-			if err != nil {
-				results <- sourceResult{idx: i, err: err}
-				return
-			}
-			err = c.GetRangeInto(hctx, blockName(name, st, i), 0, dst[i*per:(i+1)*per])
-			s.pool.Put(c)
-			r := sourceResult{idx: i, err: err}
-			if err == nil {
-				r.bytes = per
-			}
-			results <- r
-		}(i)
-	}
-	ok := 0
-	failed := false
-	for ok < p {
-		r := <-results
-		stats.source(r)
-		if r.err != nil {
-			// One bad source is enough to know the pure parallel path
-			// cannot complete: bail out to the any-k fallback immediately
-			// instead of waiting for the hedge deadline.
-			failed = true
-			break
-		}
-		// The bytes already landed in dst[r.idx*per:(r.idx+1)*per]: nothing
-		// to copy, nothing to recycle.
-		ok++
-	}
-	hcancel()
-	wg.Wait()
-	// Drain the streams cancelled (or completed) after the decision so
-	// their bytes and corruption verdicts still land in the stats; before
-	// this drain, a corrupt block whose verdict arrived second was
-	// invisible to CorruptSources.
-	for drained := ok + btoi(failed); drained < p; drained++ {
-		r := <-results
-		stats.source(r)
-		Recycle(r.data)
-	}
-	fsp.SetAttr("ok", ok).SetAttr("failed", failed)
-	fsp.End()
-	if !failed {
+	// Phase 1: every data prefix, scattered straight into its slot of dst.
+	missing := s.fetchUnits(ctx, "parallel", name, st, s.prefixes, dst, usize, stats)
+	if len(missing) == 0 {
 		stats.parallelStripe()
 		return nil
 	}
 	stats.fallbackStripe()
+	slices.Sort(missing)
+	return s.readMissingInto(ctx, name, st, dst, missing, stats)
+}
+
+// readMissingInto is phase 2 of a degraded stripe read: dst holds every
+// data prefix but those of the missing blocks, which it fills by fetching
+// the units the Section VII plan names — one ranged read per run of
+// adjacent units per block, under the hedge deadline — and solving the
+// missing ranges in place. A source that fails here is marked unavailable
+// and the plan is rebuilt without it. Only when no plan covers the missing
+// data does the stripe go to the whole-block any-k race.
+func (s *Store) readMissingInto(ctx context.Context, name string, st int, dst []byte, missing []int, stats *ReadStats) error {
+	available := make([]bool, s.code.N())
+	for i := range available {
+		available[i] = true
+	}
+	for _, m := range missing {
+		available[m] = false
+	}
+	usize := s.blockSize / s.code.UnitsPerBlock()
+	for ctx.Err() == nil {
+		plan, err := s.code.PlanDegraded(missing, available)
+		if err != nil {
+			break // fewer than k blocks answered in time
+		}
+		units := plan.Units()
+		buf := bufpool.Get(len(units) * usize)
+		failed := s.fetchUnits(ctx, "degraded", name, st, units, buf, usize, stats)
+		if len(failed) == 0 {
+			_, dsp := stageSpan(ctx, "decode")
+			dsp.SetAttr("units", len(units)).SetAttr("bytes", len(missing)*s.code.DataUnitsPerBlock()*usize)
+			views := make([][]byte, len(units))
+			for i := range views {
+				views[i] = buf[i*usize : (i+1)*usize : (i+1)*usize]
+			}
+			err = plan.SolveInto(views, dst)
+			dsp.End()
+			bufpool.Put(buf)
+			return err
+		}
+		bufpool.Put(buf)
+		for _, b := range failed {
+			available[b] = false
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return classify(err)
+	}
 	return s.readStripeAnyKInto(ctx, name, st, dst, stats)
 }
 
-// btoi converts a bool to its 0/1 count.
-func btoi(b bool) int {
-	if b {
-		return 1
+// fetchUnits fetches units (sorted by block, then position) into buf, unit
+// i at buf[i*usize:], with one pooled client per source block and one
+// ranged read per run of adjacent stored positions, all bounded by the
+// hedge deadline — a checkout blocked on an exhausted pool gives up with
+// it too — so collecting one result per source cannot hang, and every
+// write into buf happens before its result is received. Both read phases
+// use it: phase 1 with every data prefix and dst as buf, phase 2 with a
+// degraded plan's units. It returns the source blocks that failed, in
+// arrival order.
+func (s *Store) fetchUnits(ctx context.Context, mode, name string, st int, units []carousel.UnitRef, buf []byte, usize int, stats *ReadStats) []int {
+	fetchCtx, fsp := stageSpan(ctx, "fetch")
+	fsp.SetAttr("mode", mode).SetAttr("units", len(units))
+	defer fsp.End()
+	hctx, hcancel := context.WithTimeout(fetchCtx, s.hedge)
+	defer hcancel()
+	results := make(chan sourceResult, len(units)) // one send per source block, at most one per unit
+	sources := 0
+	for lo := 0; lo < len(units); {
+		hi := lo + 1
+		for hi < len(units) && units[hi].Block == units[lo].Block {
+			hi++
+		}
+		sources++
+		go func(lo, hi int) {
+			r := sourceResult{idx: units[lo].Block}
+			c, err := s.pool.Get(hctx, s.addrs[r.idx])
+			if err == nil {
+				key := blockName(name, st, r.idx)
+				for i := lo; i < hi && err == nil; {
+					j := i + 1
+					for j < hi && units[j].Pos == units[j-1].Pos+1 {
+						j++
+					}
+					if err = c.GetRangeInto(hctx, key, units[i].Pos*usize, buf[i*usize:j*usize]); err == nil {
+						r.bytes += (j - i) * usize
+					}
+					i = j
+				}
+				s.pool.Put(c)
+			}
+			r.err = err
+			results <- r
+		}(lo, hi)
+		lo = hi
 	}
-	return 0
+	var failed []int
+	for range sources {
+		r := <-results
+		stats.source(r)
+		if r.err != nil {
+			failed = append(failed, r.idx)
+		}
+	}
+	fsp.SetAttr("sources", sources).SetAttr("failed", len(failed))
+	return failed
 }
 
 // readStripeAnyKInto decodes one stripe from the fastest k responders into

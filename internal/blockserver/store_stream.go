@@ -38,8 +38,8 @@ func (k *storeSink) WriteStripe(stripe int, data []byte) error {
 
 // Source returns a stream.StripeSource that reads each stripe of the named
 // file through the store's stripe read path — the stripe cache when one is
-// configured, then the hedged p-source parallel read with its any-k
-// fallback — so a PrefetchReader on top moves the same bytes as ReadFile
+// configured, then the hedged p-source parallel read with its Section VII
+// degraded read — so a PrefetchReader on top moves the same bytes as ReadFile
 // and degrades per stripe the same way. Stage spans are recorded only
 // when ctx is already traced.
 func (s *Store) Source(ctx context.Context, name string) stream.StripeSource {

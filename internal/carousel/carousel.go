@@ -96,7 +96,7 @@ type Code struct {
 	decCache     map[string]*matrix.Matrix
 	decPlans     map[string]*codeplan.Plan // survivor set -> compiled decode schedule
 	rebuildPlans map[string]*codeplan.Plan // failed+helpers -> compiled rebuild schedule
-	readCache    map[string]*readSolver
+	readCache    map[string]*DegradedPlan
 }
 
 // Option configures a Code at construction.
@@ -139,7 +139,7 @@ func New(n, k, d, p int, opts ...Option) (*Code, error) {
 		decCache:     make(map[string]*matrix.Matrix),
 		decPlans:     make(map[string]*codeplan.Plan),
 		rebuildPlans: make(map[string]*codeplan.Plan),
-		readCache:    make(map[string]*readSolver),
+		readCache:    make(map[string]*DegradedPlan),
 	}
 	for _, opt := range opts {
 		opt(c)

@@ -1,8 +1,11 @@
 package carousel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
+	"carousel/internal/bufpool"
 	"carousel/internal/codeplan"
 	"carousel/internal/gf256"
 	"carousel/internal/matrix"
@@ -81,17 +84,17 @@ func (c *Code) PlanRead(available []bool, blockSize int) (*ReadPlan, error) {
 		plan.TotalBytes = c.p * plan.BytesPerSource
 		return plan, nil
 	}
-	solver, err := c.degradedSolver(missing, available)
+	dp, err := c.PlanDegraded(missing, available)
 	if err == nil {
-		if solver.spares != nil {
+		if dp.spares != nil {
 			plan.Replacements = make(map[int]int, len(missing))
 			for i, m := range missing {
-				plan.Replacements[m] = solver.spares[i]
+				plan.Replacements[m] = dp.spares[i]
 			}
 		} else {
 			plan.Patch = make(map[int]int)
-			for _, rr := range solver.rows {
-				plan.Patch[rr.block] += usize
+			for _, u := range dp.units {
+				plan.Patch[u.Block] += usize
 			}
 		}
 		plan.TotalBytes = c.p * plan.BytesPerSource
@@ -171,9 +174,17 @@ func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 		return nil
 	}
 
-	if solver, err := c.degradedSolver(missing, available); err == nil {
-		solver.solve(c, blocks, out, usize)
-		return nil
+	if dp, err := c.PlanDegraded(missing, available); err == nil {
+		// SolveInto consumes its unit buffers, so the planned units are
+		// copied out of the caller's blocks into one scratch buffer.
+		scratch := bufpool.Get(len(dp.units) * usize)
+		defer bufpool.Put(scratch)
+		units := make([][]byte, len(dp.units))
+		for i, u := range dp.units {
+			units[i] = scratch[i*usize : (i+1)*usize : (i+1)*usize]
+			copy(units[i], blocks[u.Block][u.Pos*usize:])
+		}
+		return dp.SolveInto(units, out)
 	}
 
 	// Fallback: full decode from any k blocks.
@@ -187,23 +198,26 @@ func (c *Code) ParallelReadInto(blocks [][]byte, out []byte) error {
 	return nil
 }
 
-// readSolver solves for the data units of missing data-bearing blocks from
-// a gathered set of unit equations.
-type readSolver struct {
-	missing []int
-	spares  []int // replacement blocks (nil for the extended scheme)
-	rows    []readRow
-	plan    *codeplan.Plan // compiled inverse over the unknown columns
-	unknown []int          // global data-unit columns being solved for
+// UnitRef names one stored unit: position Pos (counted in units from the
+// front of the block, as laid out on disk) of block Block.
+type UnitRef struct {
+	Block, Pos int
 }
 
-// readRow is one gathered equation: the generator row of a source block's
-// unit, split into its unknown-column coefficients (handled by inv) and
-// its known-column terms (subtracted into the right-hand side).
-type readRow struct {
-	block int // source block
-	unit  int // canonical unit within the block
-	known []colCoef
+// DegradedPlan is the compiled Section VII read for one pattern of missing
+// data-bearing blocks: the few units to fetch in place of the missing
+// prefixes, and the inverse that turns them back into original data. Plans
+// are cached per (missing, available) pattern and safe for concurrent use.
+type DegradedPlan struct {
+	c      *Code
+	spares []int // replacement blocks (nil for the extended scheme)
+	// known[i] holds the known-column terms of units[i]'s generator row,
+	// subtracted from the fetched unit before the compiled inverse runs
+	// over the unknown columns.
+	known   [][]colCoef
+	units   []UnitRef      // source units, sorted by (block, position)
+	plan    *codeplan.Plan // compiled inverse over the unknown columns
+	unknown []int          // global data-unit columns being solved for
 }
 
 type colCoef struct {
@@ -211,11 +225,22 @@ type colCoef struct {
 	coef byte
 }
 
-// degradedSolver returns a cached solver for the given missing
-// data-bearing blocks: the paper's replacement-block scheme when spare
-// blocks without data exist, the parity-unit extension otherwise.
-func (c *Code) degradedSolver(missing []int, available []bool) (*readSolver, error) {
-	key := make([]byte, 0, len(missing)+1+(c.n+7)/8)
+// PlanDegraded returns the cached plan that reads the data of the missing
+// data-bearing blocks (ascending indexes < p) from units of the available
+// blocks (an n-entry vector): the paper's replacement-block scheme when
+// spare blocks without data are available, the parity-unit extension
+// otherwise. Each missing block costs exactly K fetched units, so a
+// degraded read moves as many bytes as a healthy one. It fails with
+// ErrTooFewBlocks when the available blocks cannot cover the missing data.
+func (c *Code) PlanDegraded(missing []int, available []bool) (*DegradedPlan, error) {
+	if len(available) != c.n {
+		return nil, fmt.Errorf("%w: availability vector has %d entries, want %d", ErrBlockCount, len(available), c.n)
+	}
+	if len(missing) == 0 || !slices.IsSorted(missing) || missing[0] < 0 || missing[len(missing)-1] >= c.p {
+		return nil, fmt.Errorf("carousel: missing blocks %v are not ascending data-bearing indexes", missing)
+	}
+	var kb [64]byte // the cache key stays on the stack for typical codes
+	key := kb[:0]
 	for _, m := range missing {
 		key = append(key, byte(m))
 	}
@@ -231,23 +256,61 @@ func (c *Code) degradedSolver(missing []int, available []bool) (*readSolver, err
 		}
 	}
 	c.mu.Lock()
-	if s, ok := c.readCache[string(key)]; ok {
+	if dp, ok := c.readCache[string(key)]; ok {
 		c.mu.Unlock()
-		return s, nil
+		return dp, nil
 	}
 	c.mu.Unlock()
 
-	s, err := c.buildDegradedSolver(missing, available)
+	dp, err := c.buildDegradedPlan(missing, available)
 	if err != nil {
 		return nil, err
 	}
 	c.mu.Lock()
-	c.readCache[string(key)] = s
+	c.readCache[string(key)] = dp
 	c.mu.Unlock()
-	return s, nil
+	return dp, nil
 }
 
-func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver, error) {
+// Units lists the units to fetch, sorted by block and then by stored
+// position, so runs of adjacent positions on one block can be fetched as
+// one byte range. The slice is shared by every user of the plan: do not
+// modify it.
+func (dp *DegradedPlan) Units() []UnitRef { return dp.units }
+
+// SolveInto fills the missing blocks' data ranges of out, the stripe's
+// k*blockSize bytes of original data. units[i] must hold the bytes of
+// Units()[i] (one unit, blockSize/U bytes each), and the data prefixes of
+// every data-bearing block not in the plan's missing set must already be
+// in out. SolveInto consumes units: the known-column terms are subtracted
+// in place, so their contents are scratch on return. Every byte of the
+// missing ranges is overwritten.
+func (dp *DegradedPlan) SolveInto(units [][]byte, out []byte) error {
+	c := dp.c
+	if len(units) != len(dp.units) {
+		return fmt.Errorf("carousel: degraded read got %d units, plan needs %d", len(units), len(dp.units))
+	}
+	usize := len(out) / (c.k * c.units)
+	if usize == 0 || len(out) != c.k*c.units*usize {
+		return fmt.Errorf("%w: output buffer of %d bytes is not a whole stripe", ErrBlockSizeMismatch, len(out))
+	}
+	for i, u := range units {
+		if len(u) != usize {
+			return fmt.Errorf("%w: unit %d holds %d bytes, want %d", ErrBlockSizeMismatch, i, len(u), usize)
+		}
+		for _, kc := range dp.known[i] {
+			gf256.MulAddSlice(kc.coef, out[kc.col*usize:(kc.col+1)*usize], u)
+		}
+	}
+	dst := make([][]byte, len(dp.unknown))
+	for i, col := range dp.unknown {
+		dst[i] = out[col*usize : (col+1)*usize : (col+1)*usize]
+	}
+	dp.plan.RunParallel(units, dst, c.workers)
+	return nil
+}
+
+func (c *Code) buildDegradedPlan(missing []int, available []bool) (*DegradedPlan, error) {
 	unknown := make([]int, 0, len(missing)*c.kUnits)
 	unknownAt := make(map[int]int, len(missing)*c.kUnits)
 	for _, m := range missing {
@@ -266,21 +329,21 @@ func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver
 		}
 	}
 	if len(spares) == len(missing) {
-		var eqs [][2]int
+		var eqs []UnitRef
 		for mi, m := range missing {
 			for _, u := range c.chosen[m] {
-				eqs = append(eqs, [2]int{spares[mi], u})
+				eqs = append(eqs, UnitRef{Block: spares[mi], Pos: c.toStored[spares[mi]][u]})
 			}
 		}
-		if s, err := c.solverFromEquations(missing, spares, unknown, unknownAt, eqs); err == nil {
-			return s, nil
+		if dp, err := c.planFromEquations(missing, spares, unknown, unknownAt, eqs); err == nil {
+			return dp, nil
 		}
 	}
 
 	// Extension: gather rank from parity units of any available block,
 	// round-robin so the extra load spreads evenly.
 	tracker := matrix.NewRankTracker(len(unknown))
-	var eqs [][2]int
+	var eqs []UnitRef
 	restricted := make([]byte, len(unknown))
 	for round := 0; round < c.units && len(eqs) < len(unknown); round++ {
 		for b := 0; b < c.n && len(eqs) < len(unknown); b++ {
@@ -296,32 +359,32 @@ func (c *Code) buildDegradedSolver(missing []int, available []bool) (*readSolver
 			if pos >= c.units {
 				continue
 			}
-			u := c.toCanon[b][pos]
-			row := c.gen.Row(b*c.units + u)
+			row := c.gen.Row(b*c.units + c.toCanon[b][pos])
 			for x, col := range unknown {
 				restricted[x] = row[col]
 			}
 			if tracker.Add(restricted) {
-				eqs = append(eqs, [2]int{b, u})
+				eqs = append(eqs, UnitRef{Block: b, Pos: pos})
 			}
 		}
 	}
 	if len(eqs) < len(unknown) {
-		return nil, fmt.Errorf("carousel: cannot gather %d independent parity units for missing %v", len(unknown), missing)
+		return nil, fmt.Errorf("%w: cannot gather %d independent parity units for missing %v", ErrTooFewBlocks, len(unknown), missing)
 	}
-	return c.solverFromEquations(missing, nil, unknown, unknownAt, eqs)
+	return c.planFromEquations(missing, nil, unknown, unknownAt, eqs)
 }
 
-// solverFromEquations assembles and inverts the system for the given
-// (block, canonical unit) equations.
-func (c *Code) solverFromEquations(missing, spares []int, unknown []int, unknownAt map[int]int, eqs [][2]int) (*readSolver, error) {
+// planFromEquations assembles and inverts the system for the given source
+// units, ordering its rows by (block, position) so the fetch list coalesces.
+func (c *Code) planFromEquations(missing, spares []int, unknown []int, unknownAt map[int]int, eqs []UnitRef) (*DegradedPlan, error) {
+	slices.SortFunc(eqs, func(a, b UnitRef) int {
+		return cmp.Or(cmp.Compare(a.Block, b.Block), cmp.Compare(a.Pos, b.Pos))
+	})
 	a := matrix.New(len(unknown), len(unknown))
-	rows := make([]readRow, 0, len(eqs))
-	for _, eq := range eqs {
-		b, u := eq[0], eq[1]
-		genRow := c.gen.Row(b*c.units + u)
-		rr := readRow{block: b, unit: u}
-		arow := a.Row(len(rows))
+	known := make([][]colCoef, len(eqs))
+	for i, eq := range eqs {
+		genRow := c.gen.Row(eq.Block*c.units + c.toCanon[eq.Block][eq.Pos])
+		arow := a.Row(i)
 		for col, coef := range genRow {
 			if coef == 0 {
 				continue
@@ -329,36 +392,13 @@ func (c *Code) solverFromEquations(missing, spares []int, unknown []int, unknown
 			if x, ok := unknownAt[col]; ok {
 				arow[x] = coef
 			} else {
-				rr.known = append(rr.known, colCoef{col: col, coef: coef})
+				known[i] = append(known[i], colCoef{col: col, coef: coef})
 			}
 		}
-		rows = append(rows, rr)
 	}
 	inv, err := a.Inverse()
 	if err != nil {
 		return nil, fmt.Errorf("carousel: degraded-read system for missing %v: %w", missing, err)
 	}
-	return &readSolver{missing: missing, spares: spares, rows: rows, plan: codeplan.Compile(inv), unknown: unknown}, nil
-}
-
-// solve fills the unknown data ranges of out. The known data prefixes must
-// already be copied into out.
-func (s *readSolver) solve(c *Code, blocks [][]byte, out []byte, usize int) {
-	// Right-hand side: the source units minus their known-column
-	// contributions (which are data units already present in out).
-	rhs := make([][]byte, len(s.rows))
-	for i, rr := range s.rows {
-		pos := c.toStored[rr.block][rr.unit]
-		val := make([]byte, usize)
-		copy(val, blocks[rr.block][pos*usize:(pos+1)*usize])
-		for _, kc := range rr.known {
-			gf256.MulAddSlice(kc.coef, out[kc.col*usize:(kc.col+1)*usize], val)
-		}
-		rhs[i] = val
-	}
-	dst := make([][]byte, len(s.unknown))
-	for i, col := range s.unknown {
-		dst[i] = out[col*usize : (col+1)*usize : (col+1)*usize]
-	}
-	s.plan.RunParallel(rhs, dst, c.workers)
+	return &DegradedPlan{c: c, spares: spares, known: known, units: eqs, plan: codeplan.Compile(inv), unknown: unknown}, nil
 }
